@@ -49,7 +49,7 @@ from repro.osn.storage import AuditTrail, StorageHost
 from repro.policy.compile import encode_shape, share_plan, shape_tree, solve_shape
 from repro.policy.explain import Explanation, explain_tree
 from repro.policy.model import PuzzlePolicy
-from repro.util.codec import Reader, blob, text, u32
+from repro.util.codec import BIG32, BLOB, TEXT, U32, Struct, mapping, nested, seq
 
 __all__ = [
     "C1_FIELD_PRIME",
@@ -71,7 +71,7 @@ def _object_key(secret_m: int) -> bytes:
 
 
 @dataclass(frozen=True)
-class DisplayedPuzzle:
+class DisplayedPuzzle(Struct):
     """What the SP shows a prospective receiver: a permuted random subset
     of r in [k, n] questions plus the puzzle key K_Z."""
 
@@ -80,61 +80,26 @@ class DisplayedPuzzle:
     puzzle_key: bytes
     k: int
 
-    def to_bytes(self) -> bytes:
-        body = u32(self.puzzle_id) + u32(self.k) + blob(self.puzzle_key)
-        for question in self.questions:
-            body += text(question)
-        return body
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "DisplayedPuzzle":
-        reader = Reader(data)
-        puzzle_id = reader.u32()
-        k = reader.u32()
-        puzzle_key = reader.blob()
-        questions = []
-        while reader.remaining():
-            questions.append(reader.text())
-        return cls(
-            puzzle_id=puzzle_id,
-            questions=tuple(questions),
-            puzzle_key=puzzle_key,
-            k=k,
-        )
-
-    def byte_size(self) -> int:
-        return len(self.to_bytes())
+    SCHEMA = (
+        ("puzzle_id", U32),
+        ("k", U32),
+        ("puzzle_key", BLOB),
+        ("questions", seq(TEXT, rest=True)),
+    )
 
 
 @dataclass(frozen=True)
-class PuzzleAnswers:
+class PuzzleAnswers(Struct):
     """A receiver's response: keyed hashes H(a, K_Z) per question."""
 
     puzzle_id: int
     digests: dict[str, bytes]  # question -> H(answer, K_Z)
 
-    def to_bytes(self) -> bytes:
-        body = u32(self.puzzle_id)
-        for question, digest in self.digests.items():
-            body += text(question) + blob(digest)
-        return body
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "PuzzleAnswers":
-        reader = Reader(data)
-        puzzle_id = reader.u32()
-        digests: dict[str, bytes] = {}
-        while reader.remaining():
-            question = reader.text()
-            digests[question] = reader.blob()
-        return cls(puzzle_id=puzzle_id, digests=digests)
-
-    def byte_size(self) -> int:
-        return len(self.to_bytes())
+    SCHEMA = (("puzzle_id", U32), ("digests", mapping(TEXT, BLOB, rest=True)))
 
 
 @dataclass(frozen=True)
-class ReleasedShare:
+class ReleasedShare(Struct):
     """One <sigma(j), a XOR d> element sent back for a correct answer."""
 
     question: str
@@ -142,9 +107,16 @@ class ReleasedShare:
     share_x: int
     blinded_share: bytes
 
+    SCHEMA = (
+        ("question", TEXT),
+        ("entry_index", U32),
+        ("share_x", BIG32),
+        ("blinded_share", BLOB),
+    )
+
 
 @dataclass(frozen=True)
-class ShareRelease:
+class ShareRelease(Struct):
     """The SP's reply when the puzzle policy is satisfied: blinded shares
     of the correctly answered questions plus URL_O.
 
@@ -160,49 +132,13 @@ class ShareRelease:
     shares: tuple[ReleasedShare, ...]
     policy_shape: bytes = b""
 
-    def to_bytes(self) -> bytes:
-        body = (
-            u32(self.puzzle_id)
-            + u32(self.k)
-            + text(self.url)
-            + blob(self.policy_shape)
-        )
-        for released in self.shares:
-            body += (
-                text(released.question)
-                + u32(released.entry_index)
-                + blob(released.share_x.to_bytes(32, "big"))
-                + blob(released.blinded_share)
-            )
-        return body
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "ShareRelease":
-        reader = Reader(data)
-        puzzle_id = reader.u32()
-        k = reader.u32()
-        url = reader.text()
-        policy_shape = reader.blob()
-        shares = []
-        while reader.remaining():
-            shares.append(
-                ReleasedShare(
-                    question=reader.text(),
-                    entry_index=reader.u32(),
-                    share_x=int.from_bytes(reader.blob(), "big"),
-                    blinded_share=reader.blob(),
-                )
-            )
-        return cls(
-            puzzle_id=puzzle_id,
-            k=k,
-            url=url,
-            shares=tuple(shares),
-            policy_shape=policy_shape,
-        )
-
-    def byte_size(self) -> int:
-        return len(self.to_bytes())
+    SCHEMA = (
+        ("puzzle_id", U32),
+        ("k", U32),
+        ("url", TEXT),
+        ("policy_shape", BLOB),
+        ("shares", seq(nested(ReleasedShare), rest=True)),
+    )
 
 
 class SharerC1:

@@ -44,7 +44,16 @@ from repro.crypto.field import PrimeField
 from repro.crypto.kdf import hkdf
 from repro.crypto.mac import keyed_hash
 from repro.crypto.shamir import Share
-from repro.util.codec import Reader, blob, text, u32
+from repro.util.codec import (
+    BIG32,
+    BLOB,
+    TEXT,
+    U32,
+    Struct,
+    nested,
+    seq,
+    trailing,
+)
 
 __all__ = ["PuzzleEntry", "Puzzle", "blind_share", "unblind_share"]
 
@@ -82,11 +91,8 @@ def unblind_share(
     return Share(x=x, y=y % field.p)
 
 
-_SHARE_X_WIDTH = 32  # the C1 field is 256-bit; fixed width keeps wire sizes stable
-
-
 @dataclass(frozen=True)
-class PuzzleEntry:
+class PuzzleEntry(Struct):
     """One puzzle row <q_i, H(a_i, K_Z), s_i, a_i XOR d_i>."""
 
     question: str
@@ -94,26 +100,16 @@ class PuzzleEntry:
     share_x: int
     blinded_share: bytes
 
-    def to_bytes(self) -> bytes:
-        return (
-            text(self.question)
-            + blob(self.answer_digest)
-            + blob(self.share_x.to_bytes(_SHARE_X_WIDTH, "big"))
-            + blob(self.blinded_share)
-        )
-
-    @classmethod
-    def read_from(cls, reader: Reader) -> "PuzzleEntry":
-        return cls(
-            question=reader.text(),
-            answer_digest=reader.blob(),
-            share_x=int.from_bytes(reader.blob(), "big"),
-            blinded_share=reader.blob(),
-        )
+    SCHEMA = (
+        ("question", TEXT),
+        ("answer_digest", BLOB),
+        ("share_x", BIG32),
+        ("blinded_share", BLOB),
+    )
 
 
 @dataclass(frozen=True)
-class Puzzle:
+class Puzzle(Struct):
     """The complete Z_O uploaded to the service provider."""
 
     entries: tuple[PuzzleEntry, ...]
@@ -124,6 +120,19 @@ class Puzzle:
     signature: bytes = b""  # BLS point encoding; empty = unsigned
     signer_public: bytes = b""  # BLS public key point encoding
     policy_shape: bytes = b""  # encoded gate shape; empty = flat k-of-n
+
+    # The optional trailing shape is absent in (and byte-compatible with)
+    # every flat puzzle ever encoded.
+    SCHEMA = (
+        ("k", U32),
+        ("puzzle_key", BLOB),
+        ("url", TEXT),
+        ("sharer_name", TEXT),
+        ("entries", seq(nested(PuzzleEntry))),
+        ("signature", BLOB),
+        ("signer_public", BLOB),
+        ("policy_shape", trailing(BLOB, b"")),
+    )
 
     def __post_init__(self) -> None:
         if not self.entries:
@@ -163,14 +172,6 @@ class Puzzle:
 
     # -- signatures (section VI countermeasure) --------------------------------------
 
-    def _base_payload(self) -> bytes:
-        out = u32(self.k) + blob(self.puzzle_key) + text(self.url)
-        out += text(self.sharer_name)
-        out += u32(len(self.entries))
-        for entry in self.entries:
-            out += entry.to_bytes()
-        return out
-
     def signed_payload(self) -> bytes:
         """Every SP-tamperable component, canonically encoded.
 
@@ -179,10 +180,7 @@ class Puzzle:
         covered — an SP rewriting gate thresholds is tampering exactly
         like rewriting k.
         """
-        out = self._base_payload()
-        if self.policy_shape:
-            out += blob(self.policy_shape)
-        return out
+        return _SIGNED_PAYLOAD.pack(self)
 
     def sign(self, scheme: BlsScheme, secret: int, public: Point) -> "Puzzle":
         signature = scheme.sign(secret, self.signed_payload())
@@ -204,41 +202,9 @@ class Puzzle:
             return False
         return scheme.verify(public, self.signed_payload(), signature)
 
-    # -- wire encoding ------------------------------------------------------------------
 
-    def to_bytes(self) -> bytes:
-        out = (
-            self._base_payload() + blob(self.signature) + blob(self.signer_public)
-        )
-        if self.policy_shape:
-            out += blob(self.policy_shape)
-        return out
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Puzzle":
-        reader = Reader(data)
-        k = reader.u32()
-        puzzle_key = reader.blob()
-        url = reader.text()
-        sharer_name = reader.text()
-        count = reader.u32()
-        entries = tuple(PuzzleEntry.read_from(reader) for _ in range(count))
-        signature = reader.blob()
-        signer_public = reader.blob()
-        # Optional trailing shape: absent in (and byte-compatible with)
-        # every flat puzzle ever encoded.
-        policy_shape = reader.blob() if reader.remaining() else b""
-        reader.done()
-        return cls(
-            entries=entries,
-            k=k,
-            puzzle_key=puzzle_key,
-            url=url,
-            sharer_name=sharer_name,
-            signature=signature,
-            signer_public=signer_public,
-            policy_shape=policy_shape,
-        )
-
-    def byte_size(self) -> int:
-        return len(self.to_bytes())
+# Every field but the signature itself, in wire order.
+_SIGNED_PAYLOAD = nested(
+    Puzzle,
+    tuple(f for f in Puzzle.SCHEMA if f[0] not in ("signature", "signer_public")),
+)

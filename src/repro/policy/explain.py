@@ -35,13 +35,18 @@ from typing import Iterable
 
 from repro.abe.access_tree import AccessTree, AttributeLeaf, Node, ThresholdGate
 from repro.abe.policy import format_policy
-from repro.util.codec import Reader, blob, text, u8, u32
+from repro.util.codec import BOOL, TEXT, U8, U32, Struct, convert, nested, seq
 
 __all__ = ["NodeTrace", "Explanation", "explain_tree"]
 
+# A node's kind on the wire: u8 1 for a gate, 0 for a leaf.
+_KIND = convert(
+    U8, lambda kind: int(kind == "gate"), lambda tag: "gate" if tag else "leaf"
+)
+
 
 @dataclass(frozen=True)
-class NodeTrace:
+class NodeTrace(Struct):
     """One node of the derivation, addressed by its path from the root.
 
     ``path`` is dotted child positions (root = ``"0"``, its second child
@@ -59,13 +64,23 @@ class NodeTrace:
     satisfied: int
     passed: bool
 
+    SCHEMA = (
+        ("path", TEXT),
+        ("kind", _KIND),
+        ("label", TEXT),
+        ("threshold", U32),
+        ("child_count", U32),
+        ("satisfied", U32),
+        ("passed", BOOL),
+    )
+
     @property
     def depth(self) -> int:
         return self.path.count(".")
 
 
 @dataclass(frozen=True)
-class Explanation:
+class Explanation(Struct):
     """The full grant/deny derivation for one verification attempt."""
 
     construction: int
@@ -73,6 +88,14 @@ class Explanation:
     granted: bool
     policy_text: str
     nodes: tuple[NodeTrace, ...]
+
+    SCHEMA = (
+        ("construction", U8),
+        ("puzzle_id", U32),
+        ("granted", BOOL),
+        ("policy_text", TEXT),
+        ("nodes", seq(nested(NodeTrace))),
+    )
 
     def satisfied_leaves(self) -> tuple[str, ...]:
         """Questions the viewer proved, in policy leaf order."""
@@ -106,61 +129,6 @@ class Explanation:
             )
             lines.append("%s%s %s" % ("  " * (node.depth + 1), mark, detail))
         return "\n".join(lines)
-
-    # -- wire codec ------------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        body = (
-            u8(self.construction)
-            + u32(self.puzzle_id)
-            + u8(int(self.granted))
-            + text(self.policy_text)
-            + u32(len(self.nodes))
-        )
-        for node in self.nodes:
-            body += (
-                text(node.path)
-                + u8(1 if node.kind == "gate" else 0)
-                + text(node.label)
-                + u32(node.threshold)
-                + u32(node.child_count)
-                + u32(node.satisfied)
-                + u8(int(node.passed))
-            )
-        return body
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Explanation":
-        reader = Reader(data)
-        construction = reader.u8()
-        puzzle_id = reader.u32()
-        granted = bool(reader.u8())
-        policy_text = reader.text()
-        count = reader.u32()
-        nodes = []
-        for _ in range(count):
-            nodes.append(
-                NodeTrace(
-                    path=reader.text(),
-                    kind="gate" if reader.u8() else "leaf",
-                    label=reader.text(),
-                    threshold=reader.u32(),
-                    child_count=reader.u32(),
-                    satisfied=reader.u32(),
-                    passed=bool(reader.u8()),
-                )
-            )
-        reader.done()
-        return cls(
-            construction=construction,
-            puzzle_id=puzzle_id,
-            granted=granted,
-            policy_text=policy_text,
-            nodes=tuple(nodes),
-        )
-
-    def byte_size(self) -> int:
-        return len(self.to_bytes())
 
 
 def _gate_label(gate: ThresholdGate) -> str:

@@ -1,14 +1,15 @@
 """Typed protocol messages and their byte codecs.
 
 One dataclass per wire message. Each class carries a unique ``TYPE``
-byte, an ``encode_body`` method and a ``decode_body`` classmethod;
-:func:`encode_message` / :func:`decode_message` add and strip the
-versioned envelope (:mod:`repro.proto.envelope`).
+byte and declares its body as a field schema (``SCHEMA``, run by the
+generic codec in :mod:`repro.util.codec`); :func:`encode_message` /
+:func:`decode_message` add and strip the versioned envelope
+(:mod:`repro.proto.envelope`).
 
-Message bodies reuse the canonical encodings the core layer already
-defines (``Puzzle.to_bytes``, ``DisplayedPuzzle.to_bytes``, ...), so a
-message's payload size equals the ``byte_size()`` the cost meter charges
-— the wire layer adds only the envelope.
+Message bodies embed the core value types through those types' own
+schemas (``Puzzle``, ``DisplayedPuzzle``, ...), so a message's payload
+size equals the ``byte_size()`` the cost meter charges — the wire layer
+adds only the envelope.
 
 Failures cross the wire as :class:`ErrorReply`, which round-trips the
 repository's exception taxonomy (:mod:`repro.core.errors`) by stable
@@ -19,12 +20,15 @@ layer keys on.
 from __future__ import annotations
 
 import random
-import struct
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.core.construction1 import DisplayedPuzzle, PuzzleAnswers, ShareRelease
-from repro.core.construction2 import AccessGrantC2, C2Upload, DisplayedPuzzleC2
+from repro.core.construction2 import (
+    AccessGrantC2,
+    C2Upload,
+    DisplayedPuzzleC2,
+    PuzzleAnswersC2,
+)
 from repro.core.errors import (
     AccessDeniedError,
     CircuitOpenError,
@@ -41,11 +45,26 @@ from repro.core.puzzle import Puzzle
 from repro.core.throttle import ThrottledError
 from repro.osn.provider import OsnError, Post, User
 from repro.osn.storage import StorageError
+from repro.policy.explain import Explanation
 from repro.proto.envelope import WireFormatError, open_envelope, seal
-from repro.util.codec import CodecError, Reader, blob, text, u8, u32
-
-if TYPE_CHECKING:  # the policy plane is a runtime-lazy import (reply decode)
-    from repro.policy.explain import Explanation
+from repro.util.codec import (
+    BLOB,
+    BOOL,
+    F64,
+    TEXT,
+    U8,
+    U32,
+    CodecError,
+    Kind,
+    Reader,
+    Struct,
+    mapping,
+    nested,
+    optional,
+    record,
+    seq,
+    text,
+)
 
 __all__ = [
     "Message",
@@ -100,21 +119,18 @@ def _register(cls: type["Message"]) -> type["Message"]:
     return cls
 
 
-class Message:
-    """Base class: encode/decode glue around the per-class body codecs."""
+class Message(Struct):
+    """Base class: a :class:`~repro.util.codec.Struct` with a type byte.
+
+    A message's body is its ``SCHEMA`` encoding; a message without a
+    ``SCHEMA`` has an empty body.
+    """
 
     TYPE = -1
 
-    def encode_body(self) -> bytes:
-        raise NotImplementedError
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "Message":
-        raise NotImplementedError
-
 
 def encode_message(message: Message) -> bytes:
-    return seal(message.TYPE, message.encode_body())
+    return seal(message.TYPE, message.to_bytes())
 
 
 def decode_message(data: bytes) -> Message:
@@ -122,7 +138,7 @@ def decode_message(data: bytes) -> Message:
     cls = MESSAGE_TYPES.get(msg_type)
     if cls is None:
         raise WireFormatError("unknown message type 0x%02x" % msg_type)
-    return cls.decode_body(body)
+    return cls.from_bytes(body)
 
 
 def message_name(msg_type: int | None) -> str:
@@ -130,89 +146,55 @@ def message_name(msg_type: int | None) -> str:
     return cls.__name__ if cls is not None else "invalid"
 
 
-# -- shared field codecs -----------------------------------------------------
+# -- shared field kinds ------------------------------------------------------
+
+_USER = nested(User, (("user_id", U32), ("name", TEXT)))
+_MEMBERS = seq(U32)
 
 
-def _encode_user(user: User) -> bytes:
-    return u32(user.user_id) + text(user.name)
-
-
-def _decode_user(reader: Reader) -> User:
-    return User(user_id=reader.u32(), name=reader.text())
-
-
-def _encode_audience(audience: str | frozenset[int]) -> bytes:
+def _pack_audience(audience: str | frozenset[int]) -> bytes:
     if audience == "friends":
-        return u8(0)
+        return b"\x00"
     if audience == "public":
-        return u8(1)
+        return b"\x01"
     if isinstance(audience, str):
         # An invalid audience string is still representable — the
         # provider, not the codec, owns that validation.
-        return u8(3) + text(audience)
-    members = sorted(audience)
-    return u8(2) + u32(len(members)) + b"".join(u32(uid) for uid in members)
+        return b"\x03" + text(audience)
+    return b"\x02" + _MEMBERS.pack(sorted(audience))
 
 
-def _decode_audience(reader: Reader) -> str | frozenset[int]:
+def _read_audience(reader: Reader) -> str | frozenset[int]:
     tag = reader.u8()
     if tag == 0:
         return "friends"
     if tag == 1:
         return "public"
     if tag == 2:
-        return frozenset(reader.u32() for _ in range(reader.u32()))
+        return frozenset(_MEMBERS.read(reader))
     if tag == 3:
         return reader.text()
     raise CodecError("unknown audience tag %d" % tag)
 
 
-def _encode_post(post: Post) -> bytes:
-    return (
-        u32(post.post_id)
-        + _encode_user(post.author)
-        + text(post.content)
-        + _encode_audience(post.audience)
-    )
-
-
-def _decode_post(reader: Reader) -> Post:
-    return Post(
-        post_id=reader.u32(),
-        author=_decode_user(reader),
-        content=reader.text(),
-        audience=_decode_audience(reader),
-    )
-
+# The audience tagged union: u8 tag, then the member ids (tag 2) or the
+# raw string (tag 3).
+_AUDIENCE = Kind(_pack_audience, _read_audience)
+_POST = nested(
+    Post,
+    (
+        ("post_id", U32),
+        ("author", _USER),
+        ("content", TEXT),
+        ("audience", _AUDIENCE),
+    ),
+)
 
 # ``random.Random`` state: (version, 625 words + index, optional gauss).
 # Serializing the full state keeps the SP's question sampling
 # deterministic for a caller-supplied rng even across the wire.
 _RngState = tuple
-
-
-def _encode_rng_state(state: _RngState | None) -> bytes:
-    if state is None:
-        return u8(0)
-    version, words, gauss = state
-    body = u8(1) + u32(version) + u32(len(words))
-    body += b"".join(u32(word) for word in words)
-    if gauss is None:
-        body += u8(0)
-    else:
-        body += u8(1) + struct.pack(">d", gauss)
-    return body
-
-
-def _decode_rng_state(reader: Reader) -> _RngState | None:
-    if reader.u8() == 0:
-        return None
-    version = reader.u32()
-    words = tuple(reader.u32() for _ in range(reader.u32()))
-    gauss = None
-    if reader.u8():
-        gauss = struct.unpack(">d", reader.take(8))[0]
-    return (version, words, gauss)
+_RNG_STATE = optional(record(U32, seq(U32), optional(F64)))
 
 
 def rng_from_state(state: _RngState | None) -> random.Random | None:
@@ -227,6 +209,57 @@ def rng_from_state(state: _RngState | None) -> random.Random | None:
     return rng
 
 
+@dataclass(frozen=True)
+class _PuzzleRef(Message):
+    """Body shared by the requests that name one registration."""
+
+    construction: int
+    puzzle_id: int
+
+    SCHEMA = (("construction", U8), ("puzzle_id", U32))
+
+
+@dataclass(frozen=True)
+class _Evidence(Message):
+    """Body shared by Verify and Explain: hashed answers per question.
+
+    C1 digests are raw HMAC bytes; C2 digests are hex strings carried as
+    their ASCII bytes. ``requester`` feeds per-requester guess throttling
+    when the service enforces it.
+    """
+
+    construction: int
+    puzzle_id: int
+    requester: str
+    digests: dict[str, bytes] = field(default_factory=dict)
+
+    SCHEMA = (
+        ("construction", U8),
+        ("puzzle_id", U32),
+        ("requester", TEXT),
+        ("digests", mapping(TEXT, BLOB)),
+    )
+
+    def to_answers_c1(self) -> PuzzleAnswers:
+        return PuzzleAnswers(puzzle_id=self.puzzle_id, digests=dict(self.digests))
+
+    def to_answers_c2(self) -> PuzzleAnswersC2:
+        try:
+            digests = {q: d.decode("ascii") for q, d in self.digests.items()}
+        except UnicodeDecodeError as exc:
+            raise CodecError("C2 digest is not hex text") from exc
+        return PuzzleAnswersC2(puzzle_id=self.puzzle_id, digests=digests)
+
+
+@dataclass(frozen=True)
+class _Frames(Message):
+    """Body shared by batch requests and replies: enveloped frames."""
+
+    frames: tuple[bytes, ...]
+
+    SCHEMA = (("frames", seq(BLOB)),)
+
+
 # -- requests ----------------------------------------------------------------
 
 
@@ -238,12 +271,7 @@ class StorePuzzleRequest(Message):
     TYPE = 0x01
     puzzle: Puzzle
 
-    def encode_body(self) -> bytes:
-        return self.puzzle.to_bytes()
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "StorePuzzleRequest":
-        return cls(puzzle=Puzzle.from_bytes(body))
+    SCHEMA = (("puzzle", nested(Puzzle)),)
 
 
 @_register
@@ -254,12 +282,7 @@ class StoreUploadRequest(Message):
     TYPE = 0x02
     record: C2Upload
 
-    def encode_body(self) -> bytes:
-        return self.record.to_bytes()
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "StoreUploadRequest":
-        return cls(record=C2Upload.from_bytes(body))
+    SCHEMA = (("record", nested(C2Upload)),)
 
 
 @_register
@@ -272,103 +295,32 @@ class DisplayPuzzleRequest(Message):
     puzzle_id: int
     rng_state: _RngState | None = None
 
-    def encode_body(self) -> bytes:
-        return (
-            u8(self.construction)
-            + u32(self.puzzle_id)
-            + _encode_rng_state(self.rng_state)
-        )
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "DisplayPuzzleRequest":
-        reader = Reader(body)
-        construction = reader.u8()
-        puzzle_id = reader.u32()
-        rng_state = _decode_rng_state(reader)
-        reader.done()
-        return cls(
-            construction=construction, puzzle_id=puzzle_id, rng_state=rng_state
-        )
+    SCHEMA = (
+        ("construction", U8),
+        ("puzzle_id", U32),
+        ("rng_state", _RNG_STATE),
+    )
 
 
 @_register
 @dataclass(frozen=True)
-class AnswerSubmission(Message):
-    """Verify: hashed answers per question (never plaintext answers).
-
-    C1 digests are raw HMAC bytes; C2 digests are hex strings carried as
-    their ASCII bytes. ``requester`` feeds per-requester guess throttling
-    when the service enforces it.
-    """
+class AnswerSubmission(_Evidence):
+    """Verify: hashed answers per question (never plaintext answers)."""
 
     TYPE = 0x04
-    construction: int
-    puzzle_id: int
-    requester: str
-    digests: dict[str, bytes] = field(default_factory=dict)
-
-    def encode_body(self) -> bytes:
-        body = u8(self.construction) + u32(self.puzzle_id) + text(self.requester)
-        body += u32(len(self.digests))
-        for question, digest in self.digests.items():
-            body += text(question) + blob(digest)
-        return body
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "AnswerSubmission":
-        reader = Reader(body)
-        construction = reader.u8()
-        puzzle_id = reader.u32()
-        requester = reader.text()
-        digests: dict[str, bytes] = {}
-        for _ in range(reader.u32()):
-            question = reader.text()
-            digests[question] = reader.blob()
-        reader.done()
-        return cls(
-            construction=construction,
-            puzzle_id=puzzle_id,
-            requester=requester,
-            digests=digests,
-        )
-
-    def to_answers_c1(self) -> PuzzleAnswers:
-        return PuzzleAnswers(puzzle_id=self.puzzle_id, digests=dict(self.digests))
-
-    def to_answers_c2(self):
-        from repro.core.construction2 import PuzzleAnswersC2
-
-        try:
-            digests = {q: d.decode("ascii") for q, d in self.digests.items()}
-        except UnicodeDecodeError as exc:
-            raise CodecError("C2 digest is not hex text") from exc
-        return PuzzleAnswersC2(puzzle_id=self.puzzle_id, digests=digests)
 
 
 @_register
 @dataclass(frozen=True)
-class RetractPuzzleRequest(Message):
+class RetractPuzzleRequest(_PuzzleRef):
     """Remove a puzzle registration (retraction or publish rollback)."""
 
     TYPE = 0x05
-    construction: int
-    puzzle_id: int
-
-    def encode_body(self) -> bytes:
-        return u8(self.construction) + u32(self.puzzle_id)
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "RetractPuzzleRequest":
-        reader = Reader(body)
-        construction = reader.u8()
-        puzzle_id = reader.u32()
-        reader.done()
-        return cls(construction=construction, puzzle_id=puzzle_id)
 
 
 @_register
 @dataclass(frozen=True)
-class RetractPrepareRequest(Message):
+class RetractPrepareRequest(_PuzzleRef):
     """Retract saga phase 1: hide the registration, learn URL_O.
 
     A prepared registration stops serving display/verify immediately but
@@ -378,61 +330,22 @@ class RetractPrepareRequest(Message):
     """
 
     TYPE = 0x0C
-    construction: int
-    puzzle_id: int
-
-    def encode_body(self) -> bytes:
-        return u8(self.construction) + u32(self.puzzle_id)
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "RetractPrepareRequest":
-        reader = Reader(body)
-        construction = reader.u8()
-        puzzle_id = reader.u32()
-        reader.done()
-        return cls(construction=construction, puzzle_id=puzzle_id)
 
 
 @_register
 @dataclass(frozen=True)
-class RetractCommitRequest(Message):
+class RetractCommitRequest(_PuzzleRef):
     """Retract saga phase 2: discard the prepared registration for good."""
 
     TYPE = 0x0D
-    construction: int
-    puzzle_id: int
-
-    def encode_body(self) -> bytes:
-        return u8(self.construction) + u32(self.puzzle_id)
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "RetractCommitRequest":
-        reader = Reader(body)
-        construction = reader.u8()
-        puzzle_id = reader.u32()
-        reader.done()
-        return cls(construction=construction, puzzle_id=puzzle_id)
 
 
 @_register
 @dataclass(frozen=True)
-class RetractAbortRequest(Message):
+class RetractAbortRequest(_PuzzleRef):
     """Retract saga rollback: restore a prepared registration."""
 
     TYPE = 0x0E
-    construction: int
-    puzzle_id: int
-
-    def encode_body(self) -> bytes:
-        return u8(self.construction) + u32(self.puzzle_id)
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "RetractAbortRequest":
-        reader = Reader(body)
-        construction = reader.u8()
-        puzzle_id = reader.u32()
-        reader.done()
-        return cls(construction=construction, puzzle_id=puzzle_id)
 
 
 @_register
@@ -445,21 +358,7 @@ class PublishPostRequest(Message):
     content: str
     audience: str | frozenset[int] = "friends"
 
-    def encode_body(self) -> bytes:
-        return (
-            _encode_user(self.author)
-            + text(self.content)
-            + _encode_audience(self.audience)
-        )
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "PublishPostRequest":
-        reader = Reader(body)
-        author = _decode_user(reader)
-        content = reader.text()
-        audience = _decode_audience(reader)
-        reader.done()
-        return cls(author=author, content=content, audience=audience)
+    SCHEMA = (("author", _USER), ("content", TEXT), ("audience", _AUDIENCE))
 
 
 @_register
@@ -471,16 +370,7 @@ class FetchPostRequest(Message):
     viewer: User
     post_id: int
 
-    def encode_body(self) -> bytes:
-        return _encode_user(self.viewer) + u32(self.post_id)
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "FetchPostRequest":
-        reader = Reader(body)
-        viewer = _decode_user(reader)
-        post_id = reader.u32()
-        reader.done()
-        return cls(viewer=viewer, post_id=post_id)
+    SCHEMA = (("viewer", _USER), ("post_id", U32))
 
 
 @_register
@@ -497,22 +387,7 @@ class RegisterUserRequest(Message):
     name: str
     profile: dict[str, str] = field(default_factory=dict)
 
-    def encode_body(self) -> bytes:
-        body = text(self.name) + u32(len(self.profile))
-        for key in sorted(self.profile):
-            body += text(key) + text(self.profile[key])
-        return body
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "RegisterUserRequest":
-        reader = Reader(body)
-        name = reader.text()
-        profile: dict[str, str] = {}
-        for _ in range(reader.u32()):
-            key = reader.text()
-            profile[key] = reader.text()
-        reader.done()
-        return cls(name=name, profile=profile)
+    SCHEMA = (("name", TEXT), ("profile", mapping(TEXT, TEXT, sort=True)))
 
 
 @_register
@@ -524,16 +399,7 @@ class BefriendRequest(Message):
     a: User
     b: User
 
-    def encode_body(self) -> bytes:
-        return _encode_user(self.a) + _encode_user(self.b)
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "BefriendRequest":
-        reader = Reader(body)
-        a = _decode_user(reader)
-        b = _decode_user(reader)
-        reader.done()
-        return cls(a=a, b=b)
+    SCHEMA = (("a", _USER), ("b", _USER))
 
 
 @_register
@@ -553,26 +419,16 @@ class SharePolicyRequest(Message):
     puzzle_id: int
     policy_text: str
 
-    def encode_body(self) -> bytes:
-        return u8(self.construction) + u32(self.puzzle_id) + text(self.policy_text)
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "SharePolicyRequest":
-        reader = Reader(body)
-        construction = reader.u8()
-        puzzle_id = reader.u32()
-        policy_text = reader.text()
-        reader.done()
-        return cls(
-            construction=construction,
-            puzzle_id=puzzle_id,
-            policy_text=policy_text,
-        )
+    SCHEMA = (
+        ("construction", U8),
+        ("puzzle_id", U32),
+        ("policy_text", TEXT),
+    )
 
 
 @_register
 @dataclass(frozen=True)
-class ExplainRequest(Message):
+class ExplainRequest(_Evidence):
     """Explain: the same hashed evidence as Verify, answered with the
     gate-by-gate derivation instead of (never in addition to) the
     release. A deny explains without raising; throttled services charge
@@ -580,47 +436,6 @@ class ExplainRequest(Message):
     """
 
     TYPE = 0x12
-    construction: int
-    puzzle_id: int
-    requester: str
-    digests: dict[str, bytes] = field(default_factory=dict)
-
-    def encode_body(self) -> bytes:
-        body = u8(self.construction) + u32(self.puzzle_id) + text(self.requester)
-        body += u32(len(self.digests))
-        for question, digest in self.digests.items():
-            body += text(question) + blob(digest)
-        return body
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "ExplainRequest":
-        reader = Reader(body)
-        construction = reader.u8()
-        puzzle_id = reader.u32()
-        requester = reader.text()
-        digests: dict[str, bytes] = {}
-        for _ in range(reader.u32()):
-            question = reader.text()
-            digests[question] = reader.blob()
-        reader.done()
-        return cls(
-            construction=construction,
-            puzzle_id=puzzle_id,
-            requester=requester,
-            digests=digests,
-        )
-
-    def to_answers_c1(self) -> PuzzleAnswers:
-        return PuzzleAnswers(puzzle_id=self.puzzle_id, digests=dict(self.digests))
-
-    def to_answers_c2(self):
-        from repro.core.construction2 import PuzzleAnswersC2
-
-        try:
-            digests = {q: d.decode("ascii") for q, d in self.digests.items()}
-        except UnicodeDecodeError as exc:
-            raise CodecError("C2 digest is not hex text") from exc
-        return PuzzleAnswersC2(puzzle_id=self.puzzle_id, digests=digests)
 
 
 @_register
@@ -629,15 +444,7 @@ class StoragePutRequest(Message):
     TYPE = 0x08
     data: bytes
 
-    def encode_body(self) -> bytes:
-        return blob(self.data)
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "StoragePutRequest":
-        reader = Reader(body)
-        data = reader.blob()
-        reader.done()
-        return cls(data=data)
+    SCHEMA = (("data", BLOB),)
 
 
 @_register
@@ -646,15 +453,7 @@ class StorageGetRequest(Message):
     TYPE = 0x09
     url: str
 
-    def encode_body(self) -> bytes:
-        return text(self.url)
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "StorageGetRequest":
-        reader = Reader(body)
-        url = reader.text()
-        reader.done()
-        return cls(url=url)
+    SCHEMA = (("url", TEXT),)
 
 
 @_register
@@ -663,15 +462,7 @@ class StorageExistsRequest(Message):
     TYPE = 0x0A
     url: str
 
-    def encode_body(self) -> bytes:
-        return text(self.url)
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "StorageExistsRequest":
-        reader = Reader(body)
-        url = reader.text()
-        reader.done()
-        return cls(url=url)
+    SCHEMA = (("url", TEXT),)
 
 
 @_register
@@ -680,15 +471,7 @@ class StorageDeleteRequest(Message):
     TYPE = 0x0B
     url: str
 
-    def encode_body(self) -> bytes:
-        return text(self.url)
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "StorageDeleteRequest":
-        reader = Reader(body)
-        url = reader.text()
-        reader.done()
-        return cls(url=url)
+    SCHEMA = (("url", TEXT),)
 
 
 # -- batching ----------------------------------------------------------------
@@ -696,7 +479,7 @@ class StorageDeleteRequest(Message):
 
 @_register
 @dataclass(frozen=True)
-class BatchRequest(Message):
+class BatchRequest(_Frames):
     """N member requests in one round trip.
 
     Members ride as *fully enveloped frames* (each its own sealed
@@ -708,20 +491,6 @@ class BatchRequest(Message):
     """
 
     TYPE = 0x20
-    frames: tuple[bytes, ...]
-
-    def encode_body(self) -> bytes:
-        body = u32(len(self.frames))
-        for frame in self.frames:
-            body += blob(frame)
-        return body
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "BatchRequest":
-        reader = Reader(body)
-        frames = tuple(reader.blob() for _ in range(reader.u32()))
-        reader.done()
-        return cls(frames=frames)
 
     @classmethod
     def of(cls, *messages: Message) -> "BatchRequest":
@@ -734,26 +503,12 @@ class BatchRequest(Message):
 
 @_register
 @dataclass(frozen=True)
-class BatchReply(Message):
+class BatchReply(_Frames):
     """Member replies, one enveloped frame per request, in request
     order. Failed members carry an :class:`ErrorReply` frame in their
     slot; success and failure coexist in one reply."""
 
     TYPE = 0x60
-    frames: tuple[bytes, ...]
-
-    def encode_body(self) -> bytes:
-        body = u32(len(self.frames))
-        for frame in self.frames:
-            body += blob(frame)
-        return body
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "BatchReply":
-        reader = Reader(body)
-        frames = tuple(reader.blob() for _ in range(reader.u32()))
-        reader.done()
-        return cls(frames=frames)
 
     @classmethod
     def of(cls, *messages: Message) -> "BatchReply":
@@ -771,15 +526,7 @@ class StoreReply(Message):
     TYPE = 0x40
     puzzle_id: int
 
-    def encode_body(self) -> bytes:
-        return u32(self.puzzle_id)
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "StoreReply":
-        reader = Reader(body)
-        puzzle_id = reader.u32()
-        reader.done()
-        return cls(puzzle_id=puzzle_id)
+    SCHEMA = (("puzzle_id", U32),)
 
 
 @_register
@@ -788,12 +535,7 @@ class DisplayReplyC1(Message):
     TYPE = 0x41
     displayed: DisplayedPuzzle
 
-    def encode_body(self) -> bytes:
-        return self.displayed.to_bytes()
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "DisplayReplyC1":
-        return cls(displayed=DisplayedPuzzle.from_bytes(body))
+    SCHEMA = (("displayed", nested(DisplayedPuzzle)),)
 
 
 @_register
@@ -802,12 +544,7 @@ class DisplayReplyC2(Message):
     TYPE = 0x42
     displayed: DisplayedPuzzleC2
 
-    def encode_body(self) -> bytes:
-        return self.displayed.to_bytes()
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "DisplayReplyC2":
-        return cls(displayed=DisplayedPuzzleC2.from_bytes(body))
+    SCHEMA = (("displayed", nested(DisplayedPuzzleC2)),)
 
 
 @_register
@@ -818,12 +555,7 @@ class ReleaseReply(Message):
     TYPE = 0x43
     release: ShareRelease
 
-    def encode_body(self) -> bytes:
-        return self.release.to_bytes()
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "ReleaseReply":
-        return cls(release=ShareRelease.from_bytes(body))
+    SCHEMA = (("release", nested(ShareRelease)),)
 
 
 @_register
@@ -834,12 +566,7 @@ class GrantReply(Message):
     TYPE = 0x44
     grant: AccessGrantC2
 
-    def encode_body(self) -> bytes:
-        return self.grant.to_bytes()
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "GrantReply":
-        return cls(grant=AccessGrantC2.from_bytes(body))
+    SCHEMA = (("grant", nested(AccessGrantC2)),)
 
 
 @_register
@@ -848,15 +575,7 @@ class RetractReply(Message):
     TYPE = 0x45
     removed: bool
 
-    def encode_body(self) -> bytes:
-        return u8(int(self.removed))
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "RetractReply":
-        reader = Reader(body)
-        removed = bool(reader.u8())
-        reader.done()
-        return cls(removed=removed)
+    SCHEMA = (("removed", BOOL),)
 
 
 @_register
@@ -868,15 +587,7 @@ class RetractPrepareReply(Message):
     TYPE = 0x4A
     url: str
 
-    def encode_body(self) -> bytes:
-        return text(self.url)
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "RetractPrepareReply":
-        reader = Reader(body)
-        url = reader.text()
-        reader.done()
-        return cls(url=url)
+    SCHEMA = (("url", TEXT),)
 
 
 @_register
@@ -885,15 +596,7 @@ class PostReply(Message):
     TYPE = 0x46
     post: Post
 
-    def encode_body(self) -> bytes:
-        return _encode_post(self.post)
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "PostReply":
-        reader = Reader(body)
-        post = _decode_post(reader)
-        reader.done()
-        return cls(post=post)
+    SCHEMA = (("post", _POST),)
 
 
 @_register
@@ -904,15 +607,7 @@ class UserReply(Message):
     TYPE = 0x4B
     user: User
 
-    def encode_body(self) -> bytes:
-        return _encode_user(self.user)
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "UserReply":
-        reader = Reader(body)
-        user = _decode_user(reader)
-        reader.done()
-        return cls(user=user)
+    SCHEMA = (("user", _USER),)
 
 
 @_register
@@ -926,14 +621,6 @@ class AckReply(Message):
 
     TYPE = 0x4C
 
-    def encode_body(self) -> bytes:
-        return b""
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "AckReply":
-        Reader(body).done()
-        return cls()
-
 
 @_register
 @dataclass(frozen=True)
@@ -946,16 +633,9 @@ class ExplainReply(Message):
     """
 
     TYPE = 0x4D
-    explanation: "Explanation"
+    explanation: Explanation
 
-    def encode_body(self) -> bytes:
-        return self.explanation.to_bytes()
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "ExplainReply":
-        from repro.policy.explain import Explanation
-
-        return cls(explanation=Explanation.from_bytes(body))
+    SCHEMA = (("explanation", nested(Explanation)),)
 
 
 @_register
@@ -964,15 +644,7 @@ class StoragePutReply(Message):
     TYPE = 0x47
     url: str
 
-    def encode_body(self) -> bytes:
-        return text(self.url)
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "StoragePutReply":
-        reader = Reader(body)
-        url = reader.text()
-        reader.done()
-        return cls(url=url)
+    SCHEMA = (("url", TEXT),)
 
 
 @_register
@@ -981,15 +653,7 @@ class StorageGetReply(Message):
     TYPE = 0x48
     data: bytes
 
-    def encode_body(self) -> bytes:
-        return blob(self.data)
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "StorageGetReply":
-        reader = Reader(body)
-        data = reader.blob()
-        reader.done()
-        return cls(data=data)
+    SCHEMA = (("data", BLOB),)
 
 
 @_register
@@ -1000,15 +664,7 @@ class StorageBoolReply(Message):
     TYPE = 0x49
     value: bool
 
-    def encode_body(self) -> bytes:
-        return u8(int(self.value))
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "StorageBoolReply":
-        reader = Reader(body)
-        value = bool(reader.u8())
-        reader.done()
-        return cls(value=value)
+    SCHEMA = (("value", BOOL),)
 
 
 # -- the error reply and the taxonomy mapping --------------------------------
@@ -1055,17 +711,7 @@ class ErrorReply(Message):
     message: str
     transient: bool
 
-    def encode_body(self) -> bytes:
-        return text(self.code) + text(self.message) + u8(int(self.transient))
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "ErrorReply":
-        reader = Reader(body)
-        code = reader.text()
-        message = reader.text()
-        transient = bool(reader.u8())
-        reader.done()
-        return cls(code=code, message=message, transient=transient)
+    SCHEMA = (("code", TEXT), ("message", TEXT), ("transient", BOOL))
 
     @classmethod
     def from_exception(cls, exc: BaseException) -> "ErrorReply":
