@@ -24,6 +24,7 @@ from repro.abe.access_tree import AccessTree, AttributeLeaf, Node, ThresholdGate
 from repro.abe.cpabe import Ciphertext, HybridCiphertext, MasterKey, PublicKey, SecretKey
 from repro.crypto.ec import CurveParams, Point
 from repro.crypto.fq2 import Fq2
+from repro.util.codec import CodecError
 from repro.util.codec import Reader as _Reader
 from repro.util.codec import blob as _blob
 
@@ -69,13 +70,13 @@ def _encode_node(node: Node) -> bytes:
 def _decode_node(reader: _Reader) -> Node:
     tag = reader.u8()
     if tag == _LEAF_TAG:
-        return AttributeLeaf(reader.blob().decode())
+        return AttributeLeaf(reader.text())
     if tag == _GATE_TAG:
         threshold = reader.u32()
         count = reader.u32()
         children = tuple(_decode_node(reader) for _ in range(count))
         return ThresholdGate(threshold, children)
-    raise ValueError("unknown access-tree node tag %d" % tag)
+    raise CodecError("unknown access-tree node tag %d" % tag)
 
 
 def encode_access_tree(tree: AccessTree) -> bytes:
@@ -83,8 +84,15 @@ def encode_access_tree(tree: AccessTree) -> bytes:
 
 
 def decode_access_tree(data: bytes) -> AccessTree:
+    """Parse a tree; any malformation (unknown tag, bad length, a gate
+    whose threshold its children cannot meet) raises :class:`CodecError`."""
     reader = _Reader(data)
-    tree = AccessTree(_decode_node(reader))
+    try:
+        tree = AccessTree(_decode_node(reader))
+    except CodecError:
+        raise
+    except ValueError as exc:
+        raise CodecError("invalid access tree: %s" % exc) from exc
     reader.done()
     return tree
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from repro.core.errors import CircuitOpenError, UnroutableMessageError
 from repro.obs.runtime import count
 from repro.osn.faults import TransientStorageError
-from repro.proto.frontends import StorageFrontend, serve_batch
+from repro.proto.frontends import StorageFrontend, decode_request, serve_batch
 from repro.proto.messages import (
     BatchReply,
     BatchRequest,
@@ -35,10 +35,8 @@ from repro.proto.messages import (
     Message,
     StorageGetReply,
     StorageGetRequest,
-    decode_message,
     encode_message,
 )
-from repro.util.codec import CodecError
 
 __all__ = ["ClusterStorageFrontend"]
 
@@ -91,14 +89,10 @@ class ClusterStorageFrontend(StorageFrontend):
         reply_frames: list[bytes | None] = [None] * len(batch.frames)
         decoded: list[Message | None] = []
         for index, frame in enumerate(batch.frames):
-            try:
-                decoded.append(decode_message(frame))
-            except CodecError as exc:
-                count("proto.bad_message")
-                decoded.append(None)
-                reply_frames[index] = encode_message(
-                    ErrorReply(code="bad-message", message=str(exc), transient=True)
-                )
+            message, error = decode_request(frame)
+            decoded.append(message)
+            if error is not None:
+                reply_frames[index] = encode_message(error)
 
         get_indices = [
             index

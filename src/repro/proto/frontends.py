@@ -3,9 +3,9 @@
 :func:`serve` is the one place a serialized request becomes a serialized
 reply: decode, handle, and map *every* failure onto the wire — a frame
 that cannot be decoded answers with a transient ``bad-message`` error
-(resending an uncorrupted copy may well succeed), and handler exceptions
-become :class:`~repro.proto.messages.ErrorReply` with their taxonomy
-code. A dispatch frontend therefore never raises; bad input costs the
+(resending an uncorrupted copy may well succeed), while a well-formed
+body its value type rejects and handler exceptions both become
+:class:`~repro.proto.messages.ErrorReply` with their taxonomy code. A dispatch frontend therefore never raises; bad input costs the
 caller one round trip, not the server its loop.
 
 ``ProviderFrontend`` and ``StorageFrontend`` give the OSN substrates
@@ -44,19 +44,37 @@ from repro.proto.messages import (
 )
 from repro.util.codec import CodecError
 
-__all__ = ["serve", "serve_batch", "ProviderFrontend", "StorageFrontend"]
+__all__ = [
+    "decode_request",
+    "serve",
+    "serve_batch",
+    "ProviderFrontend",
+    "StorageFrontend",
+]
+
+
+def decode_request(request: bytes) -> tuple[Message | None, ErrorReply | None]:
+    """Decode one request frame: ``(message, None)``, or ``(None, reply)``
+    with the :class:`ErrorReply` its failure answers with.
+
+    A malformed encoding answers ``bad-message``; a well-formed body whose
+    value type rejects it (a puzzle with no entries, say) answers with
+    that exception's taxonomy code.
+    """
+    try:
+        return decode_message(request), None
+    except CodecError as exc:
+        count("proto.bad_message")
+        return None, ErrorReply(code="bad-message", message=str(exc), transient=True)
+    except Exception as exc:
+        count("proto.error_replies")
+        return None, ErrorReply.from_exception(exc)
 
 
 def serve(request: bytes, handler: Callable[[Message], Message]) -> bytes:
     """Decode -> handle -> encode, never raising across the wire."""
-    try:
-        message = decode_message(request)
-    except CodecError as exc:
-        count("proto.bad_message")
-        reply: Message = ErrorReply(
-            code="bad-message", message=str(exc), transient=True
-        )
-    else:
+    message, reply = decode_request(request)
+    if reply is None:
         try:
             reply = handler(message)
         except Exception as exc:

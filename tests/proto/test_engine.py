@@ -15,8 +15,11 @@ from repro.crypto.params import TOY
 from repro.osn.provider import ServiceProvider
 from repro.osn.storage import StorageHost
 from repro.proto.engine import PuzzleProtocolEngine
+from repro.proto.envelope import seal
 from repro.proto.messages import (
     AnswerSubmission,
+    BatchReply,
+    BatchRequest,
     DisplayPuzzleRequest,
     DisplayReplyC1,
     ErrorReply,
@@ -30,9 +33,11 @@ from repro.proto.messages import (
     StoragePutReply,
     StorePuzzleRequest,
     StoreReply,
+    StoreUploadRequest,
     decode_message,
     encode_message,
 )
+from repro.util.codec import blob, text, u32
 
 
 @pytest.fixture()
@@ -226,6 +231,34 @@ class TestErrorPaths:
         assert isinstance(reply, ErrorReply)
         assert reply.code == "bad-message"
         assert reply.transient
+
+    def test_rejected_bodies_answer_in_their_own_batch_slot(self, world):
+        _, storage, engine, _, _ = world
+        # Well-formed and CRC-valid, but Puzzle's own validation rejects a
+        # puzzle with zero entries: the taxonomy reply, not an exception.
+        empty_puzzle = seal(
+            StorePuzzleRequest.TYPE,
+            u32(1) + blob(b"key") + text("dh://1") + text("alice") + u32(0)
+            + blob(b"") + blob(b""),
+        )
+        # Access-tree tag 0xff is a malformed encoding: bad-message.
+        bad_tree = seal(
+            StoreUploadRequest.TYPE,
+            u32(1) + blob(b"\xff") + blob(b"pk") + blob(b"mk") + text("dh://1")
+            + text("alice"),
+        )
+        cases = [(empty_puzzle, "puzzle-parameter"), (bad_tree, "bad-message")]
+        for frame, code in cases:
+            reply = decode_message(engine.dispatch(frame))
+            assert isinstance(reply, ErrorReply) and reply.code == code
+
+            good = encode_message(StoragePutRequest(data=b"sibling"))
+            batch = BatchRequest(frames=(frame, good))
+            batch_reply = decode_message(engine.dispatch(encode_message(batch)))
+            assert isinstance(batch_reply, BatchReply)
+            failed, stored = (decode_message(f) for f in batch_reply.frames)
+            assert isinstance(failed, ErrorReply) and failed.code == code
+            assert storage.get(stored.url) == b"sibling"
 
     def test_storage_messages_route_to_the_storage_frontend(self, world):
         _, storage, engine, _, _ = world
