@@ -421,6 +421,12 @@ class TcpSmartServer(SmartServer):
                 return
 
     def stop(self) -> None:
+        # close() alone does not wake a thread blocked in accept() on
+        # Linux; shutdown() does, so the accept loop exits promptly.
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # not connected / already shut: close() still stops it
         self._listener.close()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=10.0)

@@ -169,6 +169,20 @@ def test_mid_frame_disconnect_tears_the_connection_down():
     assert stats.frames_out == 0
 
 
+def test_stop_is_prompt_and_joins_the_accept_thread():
+    engine = PuzzleProtocolEngine(ServiceProvider(), StorageHost())
+    server = TcpSmartServer(engine).start()
+    sock = socket.create_connection(server.address)
+    sock.close()
+    wait_until(
+        lambda: server.metrics.connections_total == 1, "the connection to land"
+    )
+    started = time.monotonic()
+    server.stop()
+    assert time.monotonic() - started < 1.0
+    assert not server._accept_thread.is_alive()
+
+
 def test_oversized_frame_gets_error_reply_then_disconnect():
     engine = PuzzleProtocolEngine(ServiceProvider(), StorageHost())
     with TcpSmartServer(engine, max_frame_bytes=1024) as server:
