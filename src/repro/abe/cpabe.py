@@ -34,7 +34,6 @@ from repro.crypto.kdf import hkdf
 from repro.crypto.modes import seal, unseal
 from repro.crypto.fixedbase import FixedBaseMult
 from repro.crypto.pairing import Pairing
-from repro.crypto.parallel import PairingPool
 from repro.crypto.polynomial import Polynomial, lagrange_coefficients_at_zero
 from repro.obs.profile import profiled
 
@@ -146,15 +145,10 @@ class CPABE:
         self,
         params: CurveParams,
         precompute_fixed_bases: bool = False,
-        pairing_pool: "PairingPool | None" = None,
     ):
         self.params = params
         self.pairing = Pairing(params)
         self.zr = PrimeField(params.r, check_prime=False)
-        # Optional repro.crypto.parallel.PairingPool: fused decryption
-        # fans its per-leaf Miller states (and decrypt_elements its
-        # independent ciphertexts) across worker processes.
-        self.pairing_pool = pairing_pool
         self._precompute = precompute_fixed_bases
         self._fixed_cache: dict[bytes, FixedBaseMult] = {}
         # hash_to_g0 is deterministic and dominated by cofactor clearing;
@@ -326,10 +320,7 @@ class CPABE:
             e_c_d = self.pairing.pair(ct.c, sk.d)
             return ct.c_tilde * (e_c_d * a.inverse()).inverse()
         pairs = self._fused_pairs(sk, ct, chosen)
-        # M = C~ * A / e(C, D), all under one final exponentiation (per
-        # chunk, when a pairing pool splits the product across workers).
-        if self.pairing_pool is not None:
-            return ct.c_tilde * self.pairing_pool.pair_product(self.pairing, pairs)
+        # M = C~ * A / e(C, D), all under one final exponentiation.
         return ct.c_tilde * self.pairing.pair_product(pairs)
 
     def decrypt_elements(
@@ -338,25 +329,9 @@ class CPABE:
         sk: SecretKey,
         cts: "list[Ciphertext]",
     ) -> "list[Fq2]":
-        """Decrypt many ciphertexts under one key.
-
-        Each ciphertext is an independent fused multi-pairing, so with a
-        :class:`~repro.crypto.parallel.PairingPool` attached the whole
-        batch fans out one job per ciphertext; without one it is a plain
-        loop over :meth:`decrypt_element`.
-        """
-        if self.pairing_pool is None or len(cts) <= 1:
-            return [self.decrypt_element(pk, sk, ct) for ct in cts]
-        jobs = []
-        for ct in cts:
-            chosen = ct.tree.minimal_satisfying_leaves(sk.attributes)
-            if chosen is None:
-                raise PolicyNotSatisfiedError(
-                    "key attributes do not satisfy the ciphertext policy"
-                )
-            jobs.append(self._fused_pairs(sk, ct, chosen))
-        products = self.pairing_pool.pair_products(self.pairing, jobs)
-        return [ct.c_tilde * value for ct, value in zip(cts, products)]
+        """Decrypt many ciphertexts under one key, one fused
+        :meth:`decrypt_element` each."""
+        return [self.decrypt_element(pk, sk, ct) for ct in cts]
 
     def _fused_pairs(
         self, sk: SecretKey, ct: Ciphertext, chosen: "frozenset[int] | set[int]"

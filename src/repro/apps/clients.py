@@ -46,7 +46,6 @@ from repro.core.errors import (
 from repro.core.throttle import ThrottledPuzzleServiceC1, ThrottledPuzzleServiceC2
 from repro.crypto.bls import BlsScheme
 from repro.crypto.ec import CurveParams
-from repro.crypto.parallel import PairingPool
 from repro.obs import Observability
 from repro.obs.events import Label
 from repro.obs.runtime import emit_event, maybe_span, use as use_observer
@@ -710,14 +709,10 @@ class SocialPuzzleAppC2(_PuzzleAppBase):
         engine: PuzzleProtocolEngine | None = None,
         bus: MessageBus | None = None,
         dh_bus: MessageBus | None = None,
-        pairing_pool: PairingPool | None = None,
     ):
         self.params = params
         self.digestmod = digestmod
         self.legacy_unperturbed_ciphertext = legacy_unperturbed_ciphertext
-        # Optional process pool: receiver-side CP-ABE decrypts fan their
-        # fused multi-pairing across workers (repro.crypto.parallel).
-        self.pairing_pool = pairing_pool
         if throttle_max_failures is not None:
             service: PuzzleServiceC2 = ThrottledPuzzleServiceC2(
                 max_failures=throttle_max_failures,
@@ -833,7 +828,6 @@ class SocialPuzzleAppC2(_PuzzleAppBase):
                 self.storage,
                 self.params,
                 digestmod=self.digestmod,
-                pairing_pool=self.pairing_pool,
             )
 
             displayed: DisplayedPuzzleC2 = self.client.display_puzzle_c2(puzzle_id)
@@ -908,7 +902,6 @@ class SocialPuzzleAppC2(_PuzzleAppBase):
                 prefetched,
                 self.params,
                 digestmod=self.digestmod,
-                pairing_pool=self.pairing_pool,
             )
 
             displayed: DisplayedPuzzleC2 = self.client.display_puzzle_c2(puzzle_id)
