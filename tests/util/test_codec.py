@@ -2,11 +2,25 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.codec import CodecError, Reader, blob, text, u8, u32
+from repro.util.codec import (
+    U32,
+    CodecError,
+    Reader,
+    blob,
+    nested,
+    optional,
+    seq,
+    text,
+    trailing,
+    u8,
+    u32,
+)
 
 
 class TestWriters:
@@ -73,3 +87,22 @@ class TestReader:
         reader = Reader(blob(b"\xff\xfe"))
         with pytest.raises(CodecError):
             reader.text()
+
+
+class TestSchemas:
+    def test_rest_of_body_kinds_only_close_a_schema(self):
+        rest = seq(U32, rest=True)
+        with pytest.raises(TypeError):
+            nested(SimpleNamespace, (("items", rest), ("count", U32)))
+        for wrap in (seq, optional, lambda kind: trailing(kind, ())):
+            with pytest.raises(TypeError):
+                wrap(rest)
+
+    def test_tail_kind_decodes_to_the_end(self):
+        kind = nested(
+            SimpleNamespace, (("count", U32), ("items", seq(U32, rest=True)))
+        )
+        value = SimpleNamespace(count=2, items=(7, 9))
+        body = kind.pack(value)
+        assert body == u32(2) + u32(7) + u32(9)
+        assert kind.read(Reader(body)) == value
